@@ -32,16 +32,23 @@ var (
 
 // Consensus validates the uniform consensus specification against a finished
 // run: every decided value is a proposal; no two processes (correct or
-// faulty) decided differently; every process that did not crash decided.
+// faulty) decided differently; every process that did not crash decided. A
+// validity or termination error names the lowest offending process.
 func Consensus(proposals []sim.Value, res *sim.Result) error {
 	prop := make(map[sim.Value]bool, len(proposals))
 	for _, v := range proposals {
 		prop[v] = true
 	}
+	// Name the lowest offending id, not the first in map order, so one
+	// violation reads the same on every run.
+	var bad sim.ProcID
 	for id, v := range res.Decisions {
-		if !prop[v] {
-			return fmt.Errorf("%w: p%d decided %d, proposals %v", ErrValidity, id, int64(v), proposals)
+		if !prop[v] && (bad == 0 || id < bad) {
+			bad = id
 		}
+	}
+	if bad != 0 {
+		return fmt.Errorf("%w: p%d decided %d, proposals %v", ErrValidity, bad, int64(res.Decisions[bad]), proposals)
 	}
 	if d := res.DistinctDecisions(); len(d) > 1 {
 		return fmt.Errorf("%w: decisions %v by %v", ErrAgreement, d, res.Decisions)
@@ -60,14 +67,19 @@ func Consensus(proposals []sim.Value, res *sim.Result) error {
 
 // RoundBound validates that no process decided after bound(f), where f is
 // the number of crashes that occurred in the run. Pass core's f+1 bound as
-// func(f int) sim.Round { return sim.Round(f + 1) }.
+// func(f int) sim.Round { return sim.Round(f + 1) }. The error names the
+// lowest offending process.
 func RoundBound(res *sim.Result, bound func(f int) sim.Round) error {
 	limit := bound(res.Faults())
+	var bad sim.ProcID
 	for id, r := range res.DecideRound {
-		if r > limit {
-			return fmt.Errorf("%w: p%d decided at round %d > bound %d (f=%d)",
-				ErrRoundBound, id, r, limit, res.Faults())
+		if r > limit && (bad == 0 || id < bad) {
+			bad = id
 		}
+	}
+	if bad != 0 {
+		return fmt.Errorf("%w: p%d decided at round %d > bound %d (f=%d)",
+			ErrRoundBound, bad, res.DecideRound[bad], limit, res.Faults())
 	}
 	return nil
 }

@@ -256,14 +256,15 @@ func (a *svcAdversary) Omits(p sim.ProcID, r sim.Round, plan sim.SendPlan) sim.O
 	return a.om.Omits(p, r, plan)
 }
 
-// arrival is one pending command.
+// arrival is one pending command: its arrival time and, in a closed loop,
+// the submitting client.
 type arrival struct {
 	t  float64
 	id int
 }
 
-// arrivalHeap is a min-heap of pending commands ordered by time (ties by
-// command id, so the batch order is deterministic).
+// arrivalHeap is a min-heap of pending closed-loop commands ordered by time
+// (ties by client id, so the batch order is deterministic).
 type arrivalHeap []arrival
 
 func (h arrivalHeap) less(i, j int) bool {
@@ -409,37 +410,28 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 		}
 	}
 
-	// Pending commands: open-loop sources are drained lazily, closed-loop
-	// clients all become ready at time zero.
+	// Pending commands: an open-loop source is already a time-ordered FIFO,
+	// so slots batch straight from it and a batch over the limit leaves the
+	// rest there for the next slot. Closed-loop clients all become ready at
+	// time zero and resubmit into a (time, id) min-heap.
 	var heap arrivalHeap
-	nextID := 0
 	if opts.Clients != nil {
 		for c := 0; c < opts.Clients.Clients; c++ {
-			heap.push(arrival{t: 0, id: nextID})
-			nextID++
+			heap.push(arrival{t: 0, id: c})
 		}
 	}
 	nextArrival := func() float64 {
-		if len(heap) > 0 {
-			if opts.Arrivals != nil && opts.Arrivals.Peek() < heap[0].t {
-				return opts.Arrivals.Peek()
-			}
-			return heap[0].t
-		}
 		if opts.Arrivals != nil {
 			return opts.Arrivals.Peek()
 		}
+		if len(heap) > 0 {
+			return heap[0].t
+		}
 		return math.Inf(1)
 	}
-	// fill moves open-loop arrivals due by t into the heap.
-	fill := func(t float64) {
-		if opts.Arrivals == nil {
-			return
-		}
-		for opts.Arrivals.Peek() <= t {
-			heap.push(arrival{t: opts.Arrivals.Pop(), id: nextID})
-			nextID++
-		}
+	limit := opts.BatchLimit
+	if limit == 0 {
+		limit = math.MaxInt
 	}
 
 	res := &ServeResult{
@@ -512,14 +504,17 @@ func Serve(opts ServeOptions) (*ServeResult, error) {
 			return res, fmt.Errorf("smr: all replicas dead at slot %d (t=%g)", slot, start)
 		}
 
-		// Batch: every pending command that arrived by the launch time.
-		fill(start)
+		// Batch: every pending command that arrived by the launch time, in
+		// arrival order, up to the batch limit.
 		batch = batch[:0]
-		for len(heap) > 0 && heap[0].t <= start {
-			if opts.BatchLimit > 0 && len(batch) >= opts.BatchLimit {
-				break
+		if opts.Arrivals != nil {
+			for len(batch) < limit && opts.Arrivals.Peek() <= start {
+				batch = append(batch, arrival{t: opts.Arrivals.Pop()})
 			}
-			batch = append(batch, heap.pop())
+		} else {
+			for len(batch) < limit && len(heap) > 0 && heap[0].t <= start {
+				batch = append(batch, heap.pop())
+			}
 		}
 
 		perm := permutation(opts.N, dead, opts.RotateLeader)

@@ -10,6 +10,8 @@ import (
 	"repro/internal/lan"
 	"repro/internal/sim"
 	"repro/internal/smr"
+	"repro/internal/stats"
+	"repro/internal/telemetry"
 	"repro/internal/timed"
 	"repro/internal/workload"
 )
@@ -319,6 +321,66 @@ func TestServeBatchLimit(t *testing.T) {
 	})
 	if res.Slots < 25 {
 		t.Errorf("slots = %d; a batch limit of 4 needs >= 25 slots for 100 commands", res.Slots)
+	}
+}
+
+// TestServeOpenLoopBatchCarryOver overloads an open-loop service past slot
+// saturation under a batch limit, so most slots leave due commands behind.
+// Replaying the same arrival stream against the recorded slot spans checks
+// that no slot exceeds the limit, that a slot below the limit left nothing
+// due behind, and that every command commits exactly once and in arrival
+// order: the replayed latency distribution must equal the service's.
+func TestServeOpenLoopBatchCarryOver(t *testing.T) {
+	const rate, seed, limit = 6.0, 7, 5
+	rec := telemetry.New()
+	res := mustServe(t, smr.ServeOptions{
+		N: 4, RotateLeader: true,
+		Latency:     timed.Fixed{D: 1, Delta: 0.1},
+		Arrivals:    openPoisson(t, rate, seed),
+		MaxCommands: 500,
+		BatchLimit:  limit,
+		Telemetry:   rec,
+	})
+	arrivals := openPoisson(t, rate, seed)
+	var lat stats.Sample
+	var sum, max float64
+	committed, full := 0, 0
+	for _, sp := range rec.Spans() {
+		if sp.Kind != telemetry.SpanSlot {
+			continue
+		}
+		n := int(sp.Count)
+		if n > limit {
+			t.Fatalf("slot %d committed %d commands, limit %d", sp.ID, n, limit)
+		}
+		if n == limit {
+			full++
+		}
+		for range n {
+			a := arrivals.Pop()
+			if a > sp.Start {
+				t.Fatalf("slot %d launched at %g commits a command that arrived at %g", sp.ID, sp.Start, a)
+			}
+			l := sp.End - a
+			lat.Add(l)
+			sum += l
+			max = math.Max(max, l)
+		}
+		committed += n
+		if n < limit && arrivals.Peek() <= sp.Start {
+			t.Fatalf("slot %d committed %d < %d commands but left one due at %g behind", sp.ID, n, limit, arrivals.Peek())
+		}
+	}
+	if committed != res.Commands {
+		t.Fatalf("slot spans account for %d commands, service committed %d", committed, res.Commands)
+	}
+	if full < res.Slots/2 {
+		t.Fatalf("only %d of %d slots full; the test needs sustained carry-over", full, res.Slots)
+	}
+	want := smr.LatencyStats{P50: lat.Percentile(50), P99: lat.Percentile(99), P999: lat.Percentile(99.9),
+		Mean: sum / float64(committed), Max: max}
+	if res.Latency != want {
+		t.Errorf("service latency %+v, arrival-order replay %+v", res.Latency, want)
 	}
 }
 

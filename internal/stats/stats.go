@@ -11,12 +11,16 @@ package stats
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 )
 
-// Sample accumulates observations of one scalar metric.
+// Sample accumulates observations of one scalar metric. A Sample is not safe
+// for concurrent use.
 type Sample struct {
-	values []float64
+	values  []float64
+	scratch []float64 // Percentile's selection buffer, reused across calls
 }
 
 // Add records one observation.
@@ -62,25 +66,94 @@ func (s *Sample) Max() float64 {
 	return max
 }
 
-// Percentile returns the p-th percentile (0 <= p <= 100) using
-// nearest-rank; 0 for an empty sample.
+// Percentile returns the p-th percentile (0 <= p <= 100) by nearest rank:
+// the ceil(p/100·N)-th smallest observation, the smallest for p <= 0 and the
+// largest for p >= 100. Observations are ordered as sort.Float64s orders
+// them (NaN first; -0 and +0 are equal, so either may be returned). It
+// returns 0 for an empty sample and NaN for a NaN p.
+//
+// The observation is found by selection, in expected linear time and
+// O(N log N) at worst, on a copy held in a buffer the Sample reuses across
+// calls. Like Add, Percentile therefore writes to the Sample and is not safe
+// for concurrent use.
 func (s *Sample) Percentile(p float64) float64 {
-	if len(s.values) == 0 {
+	n := len(s.values)
+	switch {
+	case math.IsNaN(p):
+		return math.NaN()
+	case n == 0:
 		return 0
 	}
-	sorted := append([]float64(nil), s.values...)
-	sort.Float64s(sorted)
+	rank := n - 1
 	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := int(math.Ceil(p/100*float64(len(sorted)))) - 1
-	if rank < 0 {
 		rank = 0
+	} else if p < 100 {
+		rank = max(int(math.Ceil(p/100*float64(n)))-1, 0)
 	}
-	return sorted[rank]
+	x := append(s.scratch[:0], s.values...)
+	s.scratch = x
+	// NaNs come first in cmp.Less order: gather them at the front, so the
+	// selection over the rest can compare with plain <.
+	nans := 0
+	for i, v := range x {
+		if v != v {
+			x[i], x[nans] = x[nans], v
+			nans++
+		}
+	}
+	if rank < nans {
+		return math.NaN()
+	}
+	return selectRank(x[nans:], rank-nans)
+}
+
+// selectRank reorders x, which must hold no NaN, so that x[k] holds the
+// element slices.Sort would place there, and returns it. It is an
+// introselect: Hoare-partition quickselect around a median-of-three pivot
+// that sorts the remaining range once about 2·log₂(len(x)) partitions have
+// not narrowed it to a few elements, bounding the worst case at O(n log n).
+func selectRank(x []float64, k int) float64 {
+	lo, hi := 0, len(x) // x[k] lies in x[lo:hi]
+	for budget := 2 * bits.Len(uint(len(x))); hi-lo > 12 && budget > 0; budget-- {
+		// Order x[lo] <= x[mid] <= x[hi-1]: the ends then bound both scans.
+		mid := lo + (hi-lo)/2
+		if x[mid] < x[lo] {
+			x[mid], x[lo] = x[lo], x[mid]
+		}
+		if x[hi-1] < x[lo] {
+			x[hi-1], x[lo] = x[lo], x[hi-1]
+		}
+		if x[hi-1] < x[mid] {
+			x[hi-1], x[mid] = x[mid], x[hi-1]
+		}
+		pivot := x[mid]
+		i, j := lo, hi-1
+		for i <= j {
+			for x[i] < pivot {
+				i++
+			}
+			for pivot < x[j] {
+				j--
+			}
+			if i <= j {
+				x[i], x[j] = x[j], x[i]
+				i++
+				j--
+			}
+		}
+		// Now x[lo:j+1] <= pivot <= x[i:hi], and anything between equals
+		// the pivot.
+		switch {
+		case k <= j:
+			hi = j + 1
+		case k >= i:
+			lo = i
+		default:
+			return x[k]
+		}
+	}
+	slices.Sort(x[lo:hi])
+	return x[k]
 }
 
 // String renders mean ± stddev (max).
